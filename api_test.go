@@ -2,7 +2,9 @@ package knnshapley
 
 import (
 	"bytes"
+	"context"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -11,30 +13,42 @@ func smallSplit(t *testing.T) (*Dataset, *Dataset) {
 	return SynthMNIST(150, 1), SynthMNIST(10, 2)
 }
 
-func TestExactClassificationEndToEnd(t *testing.T) {
-	train, test := smallSplit(t)
-	sv, err := Exact(train, test, Config{K: 3})
+// session opens a Valuer over train, failing the test on error.
+func session(t *testing.T, train *Dataset, opts ...Option) *Valuer {
+	t.Helper()
+	v, err := New(train, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sv) != train.N() {
-		t.Fatalf("%d values for %d points", len(sv), train.N())
+	return v
+}
+
+func TestExactClassificationEndToEnd(t *testing.T) {
+	train, test := smallSplit(t)
+	ctx := context.Background()
+	v := session(t, train, WithK(3))
+	rep, err := v.Exact(ctx, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Values) != train.N() {
+		t.Fatalf("%d values for %d points", len(rep.Values), train.N())
 	}
 	all := make([]int, train.N())
 	for i := range all {
 		all[i] = i
 	}
-	full, err := Utility(train, test, Config{K: 3}, all)
+	full, err := v.Utility(ctx, test, all)
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty, err := Utility(train, test, Config{K: 3}, nil)
+	empty, err := v.Utility(ctx, test, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var total float64
-	for _, v := range sv {
-		total += v
+	for _, sv := range rep.Values {
+		total += sv
 	}
 	if math.Abs(total-(full-empty)) > 1e-9 {
 		t.Fatalf("group rationality: Σsv=%v, ν(I)−ν(∅)=%v", total, full-empty)
@@ -45,22 +59,20 @@ func TestExactClassificationEndToEnd(t *testing.T) {
 // size and worker count (the batches only change memory, never math).
 func TestExactBatchSizeInvariance(t *testing.T) {
 	train, test := smallSplit(t)
-	want, err := Exact(train, test, Config{K: 3, Workers: 1, BatchSize: test.N()})
+	ctx := context.Background()
+	want, err := session(t, train, WithK(3), WithWorkers(1), WithBatchSize(test.N())).Exact(ctx, test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []Config{
-		{K: 3, BatchSize: 1},
-		{K: 3, BatchSize: 3, Workers: 2},
-		{K: 3, BatchSize: 64, Workers: 8},
-	} {
-		got, err := Exact(train, test, cfg)
+	for _, tc := range []struct{ batch, workers int }{{1, 0}, {3, 2}, {64, 8}} {
+		got, err := session(t, train, WithK(3), WithBatchSize(tc.batch), WithWorkers(tc.workers)).Exact(ctx, test)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("cfg %+v: sv[%d] = %v, want %v (bitwise)", cfg, i, got[i], want[i])
+		for i := range want.Values {
+			if got.Values[i] != want.Values[i] {
+				t.Fatalf("batch %d workers %d: sv[%d] = %v, want %v (bitwise)",
+					tc.batch, tc.workers, i, got.Values[i], want.Values[i])
 			}
 		}
 	}
@@ -69,68 +81,88 @@ func TestExactBatchSizeInvariance(t *testing.T) {
 func TestExactRegressionEndToEnd(t *testing.T) {
 	train := SynthRegression(100, 4, 0.1, 1)
 	test := SynthRegression(8, 4, 0.1, 2)
-	sv, err := Exact(train, test, Config{K: 2})
+	rep, err := session(t, train, WithK(2)).Exact(context.Background(), test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sv) != 100 {
-		t.Fatalf("%d values", len(sv))
+	if len(rep.Values) != 100 {
+		t.Fatalf("%d values", len(rep.Values))
 	}
 }
 
 func TestExactWeightedEndToEnd(t *testing.T) {
 	train := SynthMNIST(25, 3)
 	test := SynthMNIST(3, 4)
-	sv, err := Exact(train, test, Config{K: 2, Weight: InverseDistance(0.5)})
+	ctx := context.Background()
+	v := session(t, train, WithK(2), WithWeight(InverseDistance(0.5)))
+	exact, err := v.Exact(ctx, test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := MonteCarlo(train, test, Config{K: 2, Weight: InverseDistance(0.5)},
-		MCOptions{Bound: Fixed, T: 4000, Seed: 5})
+	mc, err := v.MonteCarlo(ctx, test, MCOptions{Bound: Fixed, T: 4000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range sv {
-		if math.Abs(sv[i]-mc.SV[i]) > 0.1 {
-			t.Fatalf("exact %v vs MC %v at %d", sv[i], mc.SV[i], i)
+	for i, sv := range exact.Values {
+		if math.Abs(sv-mc.Values[i]) > 0.1 {
+			t.Fatalf("exact %v vs MC %v at %d", sv, mc.Values[i], i)
 		}
 	}
 }
 
+// Sessions and methods must reject configurations the algorithms cannot
+// serve: K = 0, a test set whose kind differs from the training set's, and
+// the approximate methods outside unweighted L2 classification.
 func TestConfigValidation(t *testing.T) {
 	train, test := smallSplit(t)
-	if _, err := Exact(train, test, Config{K: 0}); err == nil {
-		t.Error("K=0 accepted")
+	ctx := context.Background()
+	check := func(name string, err error, want string) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, want)
+		}
 	}
+	_, err := New(train, WithK(0))
+	check("K=0", err, "K = 0")
+	v := session(t, train, WithK(1))
+	_, err = v.Exact(ctx, SynthRegression(10, train.Dim(), 0.1, 1))
+	check("mixed train/test kinds", err, "incompatible with dataset responses")
+
 	reg := SynthRegression(10, 4, 0.1, 1)
-	if _, err := Exact(train, reg, Config{K: 1}); err == nil {
-		t.Error("mixed train/test kinds accepted")
-	}
-	if _, err := Truncated(reg, reg, Config{K: 1}, 0.1); err == nil {
-		t.Error("regression accepted by Truncated")
-	}
-	if _, err := NewLSHValuer(train, Config{K: 1, Weight: InverseDistance(1)}, 0.1, 0.1, 1); err == nil {
-		t.Error("weighted accepted by LSH")
-	}
-	if _, err := NewLSHValuer(train, Config{K: 1, Metric: Cosine}, 0.1, 0.1, 1); err == nil {
-		t.Error("cosine accepted by LSH")
-	}
+	_, err = session(t, reg, WithK(1)).Truncated(ctx, reg, 0.1)
+	check("regression Truncated", err, "applies to unweighted classification")
+
+	weighted := session(t, train, WithK(1), WithWeight(InverseDistance(1)))
+	_, err = weighted.LSH(ctx, test, 0.1, 0.1, 1)
+	check("weighted LSH", err, "applies to unweighted classification")
+	_, err = weighted.KD(ctx, test, 0.1)
+	check("weighted KD", err, "applies to unweighted classification")
+	_, err = weighted.Truncated(ctx, test, 0.1)
+	check("weighted Truncated", err, "applies to unweighted classification")
+
+	cosine := session(t, train, WithK(1), WithMetric(Cosine))
+	_, err = cosine.LSH(ctx, test, 0.1, 0.1, 1)
+	check("cosine LSH", err, "p-stable LSH requires the L2 metric")
+	_, err = cosine.KD(ctx, test, 0.1)
+	check("cosine KD", err, "k-d tree backend requires the L2 metric")
 }
 
 func TestTruncatedWithinEps(t *testing.T) {
 	train, test := smallSplit(t)
-	exact, err := Exact(train, test, Config{K: 2})
+	ctx := context.Background()
+	v := session(t, train, WithK(2))
+	exact, err := v.Exact(ctx, test)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eps := 0.1
-	approx, err := Truncated(train, test, Config{K: 2}, eps)
+	approx, err := v.Truncated(ctx, test, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range exact {
-		if math.Abs(exact[i]-approx[i]) > eps {
-			t.Fatalf("error %v > eps at %d", exact[i]-approx[i], i)
+	for i, sv := range exact.Values {
+		if math.Abs(sv-approx.Values[i]) > eps {
+			t.Fatalf("error %v > eps at %d", sv-approx.Values[i], i)
 		}
 	}
 }
@@ -138,27 +170,29 @@ func TestTruncatedWithinEps(t *testing.T) {
 func TestLSHValuerEndToEnd(t *testing.T) {
 	train := SynthDeep(1000, 7)
 	test := SynthDeep(10, 8)
-	v, err := NewLSHValuer(train, Config{K: 2}, 0.1, 0.1, 9)
+	ctx := context.Background()
+	v := session(t, train, WithK(2))
+	rep, err := v.LSH(ctx, test, 0.1, 0.1, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.KStar() != 10 {
-		t.Fatalf("KStar = %d", v.KStar())
+	if rep.KStar != 10 {
+		t.Fatalf("KStar = %d", rep.KStar)
 	}
-	if v.EstimatedContrast() <= 1 {
-		t.Fatalf("contrast %v", v.EstimatedContrast())
-	}
-	sv, err := v.Value(test)
+	lv, err := v.lshValuer(0.1, 0.1, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := Exact(train, test, Config{K: 2})
+	if ck := lv.Tuned().Contrast.CK; ck <= 1 {
+		t.Fatalf("contrast %v", ck)
+	}
+	exact, err := v.Exact(ctx, test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range sv {
-		if math.Abs(sv[i]-exact[i]) > 0.1 {
-			t.Fatalf("LSH error %v at %d", sv[i]-exact[i], i)
+	for i, sv := range rep.Values {
+		if math.Abs(sv-exact.Values[i]) > 0.1 {
+			t.Fatalf("LSH error %v at %d", sv-exact.Values[i], i)
 		}
 	}
 }
@@ -166,47 +200,44 @@ func TestLSHValuerEndToEnd(t *testing.T) {
 func TestKDValuerEndToEnd(t *testing.T) {
 	train := SynthDeep(800, 11)
 	test := SynthDeep(10, 12)
-	v, err := NewKDValuer(train, Config{K: 2}, 0.1)
+	ctx := context.Background()
+	v := session(t, train, WithK(2))
+	rep, err := v.KD(ctx, test, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.KStar() != 10 {
-		t.Fatalf("KStar = %d", v.KStar())
-	}
-	sv, err := v.Value(test)
-	if err != nil {
-		t.Fatal(err)
+	if rep.KStar != 10 {
+		t.Fatalf("KStar = %d", rep.KStar)
 	}
 	// The kd-tree retrieval is exact, so the result equals the sort-based
 	// truncation bit-for-bit.
-	want, err := Truncated(train, test, Config{K: 2}, 0.1)
+	want, err := v.Truncated(ctx, test, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range sv {
-		if sv[i] != want[i] {
-			t.Fatalf("kd vs truncated at %d: %v != %v", i, sv[i], want[i])
+	for i, sv := range rep.Values {
+		if sv != want.Values[i] {
+			t.Fatalf("kd vs truncated at %d: %v != %v", i, sv, want.Values[i])
 		}
 	}
-	one := v.ValueOne(test.X[0], test.Labels[0])
-	if len(one) != train.N() {
+	kv, err := v.kdValuer(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one := kv.ValueOne(test.X[0], test.Labels[0]); len(one) != train.N() {
 		t.Fatalf("ValueOne length %d", len(one))
-	}
-	if _, err := NewKDValuer(train, Config{K: 1, Metric: Cosine}, 0.1); err == nil {
-		t.Error("cosine accepted by kd-tree backend")
-	}
-	if _, err := NewKDValuer(train, Config{K: 1, Weight: InverseDistance(1)}, 0.1); err == nil {
-		t.Error("weighted accepted by kd-tree backend")
 	}
 }
 
 func TestMonteCarloBudgets(t *testing.T) {
 	train, test := smallSplit(t)
-	ben, err := MonteCarlo(train, test, Config{K: 5}, MCOptions{Eps: 0.1, Delta: 0.1, Bound: Bennett, Seed: 1})
+	ctx := context.Background()
+	v := session(t, train, WithK(5))
+	ben, err := v.MonteCarlo(ctx, test, MCOptions{Eps: 0.1, Delta: 0.1, Bound: Bennett, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hoef, err := MonteCarlo(train, test, Config{K: 5}, MCOptions{Eps: 0.1, Delta: 0.1, Bound: Hoeffding, Seed: 1})
+	hoef, err := v.MonteCarlo(ctx, test, MCOptions{Eps: 0.1, Delta: 0.1, Bound: Hoeffding, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +249,11 @@ func TestMonteCarloBudgets(t *testing.T) {
 func TestBaselineMonteCarloRuns(t *testing.T) {
 	train := SynthMNIST(40, 5)
 	test := SynthMNIST(3, 6)
-	rep, err := BaselineMonteCarlo(train, test, Config{K: 1}, 0.2, 0.2, 50, 1)
+	rep, err := session(t, train, WithK(1)).BaselineMonteCarlo(context.Background(), test, 0.2, 0.2, 50, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Permutations == 0 || len(rep.SV) != 40 {
+	if rep.Permutations == 0 || len(rep.Values) != 40 {
 		t.Fatalf("report %+v", rep)
 	}
 }
@@ -230,26 +261,29 @@ func TestBaselineMonteCarloRuns(t *testing.T) {
 func TestSellerValuesExactVsMC(t *testing.T) {
 	train := SynthMNIST(30, 7)
 	test := SynthMNIST(4, 8)
+	ctx := context.Background()
+	v := session(t, train, WithK(2))
 	owners := AssignSellers(train.N(), 5)
-	exact, err := SellerValues(train, test, owners, 5, Config{K: 2})
+	exact, err := v.Sellers(ctx, test, owners, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := SellerValuesMC(train, test, owners, 5, Config{K: 2},
-		MCOptions{Bound: Fixed, T: 3000, Seed: 3})
+	mc, err := v.SellersMC(ctx, test, owners, 5, MCOptions{Bound: Fixed, T: 3000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j := range exact {
-		if math.Abs(exact[j]-mc.SV[j]) > 0.05 {
-			t.Fatalf("seller %d: exact %v vs MC %v", j, exact[j], mc.SV[j])
+	for j, sv := range exact.Values {
+		if math.Abs(sv-mc.Values[j]) > 0.05 {
+			t.Fatalf("seller %d: exact %v vs MC %v", j, sv, mc.Values[j])
 		}
 	}
 }
 
 func TestCompositeValuesPointLevel(t *testing.T) {
 	train, test := smallSplit(t)
-	rep, err := CompositeValues(train, test, nil, 0, Config{K: 10})
+	ctx := context.Background()
+	v := session(t, train, WithK(10))
+	rep, err := v.Composite(ctx, test, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,10 +291,13 @@ func TestCompositeValuesPointLevel(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	full, _ := Utility(train, test, Config{K: 10}, all)
+	full, err := v.Utility(ctx, test, all)
+	if err != nil {
+		t.Fatal(err)
+	}
 	total := rep.Analyst
-	for _, v := range rep.Sellers {
-		total += v
+	for _, sv := range rep.Values {
+		total += sv
 	}
 	if math.Abs(total-full) > 1e-9 {
 		t.Fatalf("composite total %v != ν(I) %v", total, full)
@@ -274,12 +311,12 @@ func TestCompositeValuesSellerLevel(t *testing.T) {
 	train := SynthMNIST(24, 9)
 	test := SynthMNIST(3, 10)
 	owners := AssignSellers(train.N(), 4)
-	rep, err := CompositeValues(train, test, owners, 4, Config{K: 2})
+	rep, err := session(t, train, WithK(2)).Composite(context.Background(), test, owners, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Sellers) != 4 {
-		t.Fatalf("%d sellers", len(rep.Sellers))
+	if len(rep.Values) != 4 {
+		t.Fatalf("%d sellers", len(rep.Values))
 	}
 }
 

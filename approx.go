@@ -1,7 +1,6 @@
 package knnshapley
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -83,7 +82,7 @@ func (b *Bound) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// MCOptions configures MonteCarlo and SellerValuesMC.
+// MCOptions configures Valuer.MonteCarlo and Valuer.SellersMC.
 type MCOptions struct {
 	// Eps, Delta set the (ε,δ)-approximation target (required unless
 	// Bound == Fixed).
@@ -105,7 +104,7 @@ type MCOptions struct {
 	Seed uint64
 }
 
-func (o MCOptions) internal(cfg Config) core.MCConfig {
+func (o MCOptions) internal(cfg config) core.MCConfig {
 	return core.MCConfig{
 		Eps:            o.Eps,
 		Delta:          o.Delta,
@@ -118,139 +117,3 @@ func (o MCOptions) internal(cfg Config) core.MCConfig {
 		BatchSize:      cfg.BatchSize,
 	}
 }
-
-// MCReport describes a Monte-Carlo run.
-type MCReport struct {
-	// SV holds the estimated Shapley values.
-	SV []float64
-	// Permutations is the largest count any test point executed (each test
-	// point samples its own stream and may stop early under Heuristic);
-	// Budget is what the bound asked for.
-	Permutations, Budget int
-	// UtilityEvals counts incremental utility recomputations — the cost
-	// metric Algorithm 2's heap trick minimizes.
-	UtilityEvals int
-}
-
-// MonteCarlo estimates Shapley values with the improved Monte-Carlo
-// estimator (Algorithm 2): heap-incremental utility evaluation plus the
-// Bennett permutation budget of Theorem 5. Each test point samples a
-// deterministic permutation stream derived from (Seed, test index).
-//
-// Deprecated: use New and Valuer.MonteCarlo, which honors a
-// context.Context (cancellation is checked every permutation).
-func MonteCarlo(train, test *Dataset, cfg Config, opts MCOptions) (MCReport, error) {
-	v, err := New(train, withConfig(cfg))
-	if err != nil {
-		return MCReport{}, err
-	}
-	rep, err := v.MonteCarlo(context.Background(), test, opts)
-	if err != nil {
-		return MCReport{}, err
-	}
-	return MCReport{SV: rep.Values, Permutations: rep.Permutations, Budget: rep.Budget,
-		UtilityEvals: rep.UtilityEvals}, nil
-}
-
-// BaselineMonteCarlo is the Section 2.2 baseline: permutation sampling with
-// from-scratch utility evaluation and the Hoeffding budget. It exists for
-// benchmarking against (Figures 5, 6 and 11); prefer Valuer.MonteCarlo.
-func BaselineMonteCarlo(train, test *Dataset, cfg Config, eps, delta float64, capT int, seed uint64) (MCReport, error) {
-	tps, err := cfg.testPoints(train, test, nil)
-	if err != nil {
-		return MCReport{}, err
-	}
-	res, err := core.BaselineMC(context.Background(), tps, eps, delta, capT, seed)
-	if err != nil {
-		return MCReport{}, err
-	}
-	return MCReport(res), nil
-}
-
-// LSHValuer computes sublinear (eps, delta)-approximate Shapley values for
-// unweighted KNN classification by retrieving only K* = max{K, ⌈1/eps⌉}
-// neighbors per query from a p-stable LSH index (Theorems 2–4). Build it
-// once over the training set, then value batches or a stream of queries.
-//
-// Deprecated: use New and Valuer.LSH, which builds the index lazily and
-// caches it inside the session.
-type LSHValuer struct {
-	inner *core.LSHValuer
-}
-
-// NewLSHValuer tunes LSH parameters on the training set (estimating its
-// relative contrast, Section 6.1) and builds the index.
-func NewLSHValuer(train *Dataset, cfg Config, eps, delta float64, seed uint64) (*LSHValuer, error) {
-	if cfg.Weight != nil {
-		return nil, fmt.Errorf("knnshapley: the LSH approximation applies to unweighted classification")
-	}
-	if cfg.Metric != L2 {
-		return nil, fmt.Errorf("knnshapley: p-stable LSH requires the L2 metric")
-	}
-	inner, err := core.NewLSHValuer(train, core.LSHConfig{
-		K: cfg.K, Eps: eps, Delta: delta, Seed: seed, Workers: cfg.Workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &LSHValuer{inner: inner}, nil
-}
-
-// Value returns approximate Shapley values averaged over the test set.
-func (v *LSHValuer) Value(test *Dataset) ([]float64, error) {
-	return v.inner.Value(context.Background(), test)
-}
-
-// ValueOne returns approximate Shapley values for a single streaming query.
-func (v *LSHValuer) ValueOne(q []float64, label int) []float64 {
-	return v.inner.ValueOne(q, label)
-}
-
-// KStar reports the retrieval depth max{K, ⌈1/eps⌉}.
-func (v *LSHValuer) KStar() int { return v.inner.KStar() }
-
-// EstimatedContrast reports the relative contrast C_K* measured during
-// tuning — the quantity that governs the approximation's speed (Theorem 3).
-func (v *LSHValuer) EstimatedContrast() float64 { return v.inner.Tuned().Contrast.CK }
-
-// KDValuer computes (eps, 0)-approximate Shapley values for unweighted KNN
-// classification by retrieving the K* nearest neighbors from a k-d tree —
-// the classic alternative to LSH named in Section 3.2. Retrieval is exact
-// (δ = 0), so only the Theorem 2 truncation bounds the error; it excels in
-// low dimension while LSH wins in high dimension.
-//
-// Deprecated: use New and Valuer.KD, which builds the tree lazily and
-// caches it inside the session.
-type KDValuer struct {
-	inner   *core.KDValuer
-	workers int
-}
-
-// NewKDValuer builds a k-d tree over the training set.
-func NewKDValuer(train *Dataset, cfg Config, eps float64) (*KDValuer, error) {
-	if cfg.Weight != nil {
-		return nil, fmt.Errorf("knnshapley: the truncated approximation applies to unweighted classification")
-	}
-	if cfg.Metric != L2 {
-		return nil, fmt.Errorf("knnshapley: the k-d tree backend requires the L2 metric")
-	}
-	inner, err := core.NewKDValuer(train, cfg.K, eps, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &KDValuer{inner: inner, workers: cfg.Workers}, nil
-}
-
-// Value returns (eps, 0)-approximate Shapley values averaged over the test
-// set.
-func (v *KDValuer) Value(test *Dataset) ([]float64, error) {
-	return v.inner.Value(context.Background(), test, v.workers)
-}
-
-// ValueOne values a single streaming query.
-func (v *KDValuer) ValueOne(q []float64, label int) []float64 {
-	return v.inner.ValueOne(q, label)
-}
-
-// KStar reports the retrieval depth max{K, ⌈1/eps⌉}.
-func (v *KDValuer) KStar() int { return v.inner.KStar() }

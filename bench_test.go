@@ -5,6 +5,7 @@
 package knnshapley
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -271,10 +272,13 @@ func BenchmarkAblationHeapIncrement(b *testing.B) {
 		}
 	})
 	b.Run("naive", func(b *testing.B) {
-		train := dataset.MNISTLike(2000, 1)
+		v, err := New(dataset.MNISTLike(2000, 1), WithK(5))
+		if err != nil {
+			b.Fatal(err)
+		}
 		test := dataset.MNISTLike(1, 2)
 		for i := 0; i < b.N; i++ {
-			if _, err := BaselineMonteCarlo(train, test, Config{K: 5}, 0.1, 0.1, 5, uint64(i+1)); err != nil {
+			if _, err := v.BaselineMonteCarlo(context.Background(), test, 0.1, 0.1, 5, uint64(i+1)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -308,7 +312,11 @@ func BenchmarkEngineStreamingVsEager(b *testing.B) {
 	b.Run("streaming", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Exact(train, test, Config{K: 5, BatchSize: 16}); err != nil {
+			v, err := New(train, WithK(5), WithBatchSize(16))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := v.Exact(context.Background(), test); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -85,60 +85,41 @@ func runBenchJSON(path string, maxN int) error {
 		}
 		train := dataset.MNISTLike(n, 1)
 		test := dataset.MNISTLike(benchNTest, 2)
-		cfg := knnshapley.Config{K: benchK}
-
-		ns, err := timeOp(func() error {
-			_, err := knnshapley.Exact(train, test, cfg)
-			return err
-		})
-		if err != nil {
-			return fmt.Errorf("exact n=%d: %w", n, err)
+		// Each valuation record times one complete one-shot valuation:
+		// session construction inside the timer, then one call.
+		ctx := context.Background()
+		var exactNsPerOp int64
+		for _, vr := range []struct {
+			name   string
+			prec   knnshapley.Precision
+			params knnshapley.Method
+		}{
+			{"exact", knnshapley.Float64, knnshapley.ExactParams{}},
+			// Same exact valuation in the float32 compute mode: half the
+			// scan bandwidth, distances within single-precision rounding.
+			{"exact_f32", knnshapley.Float32, knnshapley.ExactParams{}},
+			{"truncated_eps0.01", knnshapley.Float64, knnshapley.TruncatedParams{Eps: 0.01}},
+			{"montecarlo_t10", knnshapley.Float64, knnshapley.MCParams{Bound: knnshapley.Fixed, T: 10, Seed: 1}},
+		} {
+			ns, err := timeOp(func() error {
+				v, err := knnshapley.New(train, knnshapley.WithK(benchK), knnshapley.WithPrecision(vr.prec))
+				if err != nil {
+					return err
+				}
+				_, err = v.Evaluate(ctx, knnshapley.Request{Params: vr.params, Test: test})
+				return err
+			})
+			if err != nil {
+				return fmt.Errorf("%s n=%d: %w", vr.name, n, err)
+			}
+			if vr.name == "exact" {
+				exactNsPerOp = ns / benchNTest
+			}
+			rep.Results = append(rep.Results, benchRecord{
+				Name: vr.name, N: n, Dim: train.Dim(), NTest: benchNTest,
+				NsPerOp: ns / benchNTest, TotalNs: ns,
+			})
 		}
-		exactNsPerOp := ns / benchNTest
-		rep.Results = append(rep.Results, benchRecord{
-			Name: "exact", N: n, Dim: train.Dim(), NTest: benchNTest,
-			NsPerOp: exactNsPerOp, TotalNs: ns,
-		})
-
-		// Same exact valuation in the float32 compute mode: half the scan
-		// bandwidth, distances within single-precision rounding.
-		ns, err = timeOp(func() error {
-			_, err := knnshapley.Exact(train, test,
-				knnshapley.Config{K: benchK, Precision: knnshapley.Float32})
-			return err
-		})
-		if err != nil {
-			return fmt.Errorf("exact_f32 n=%d: %w", n, err)
-		}
-		rep.Results = append(rep.Results, benchRecord{
-			Name: "exact_f32", N: n, Dim: train.Dim(), NTest: benchNTest,
-			NsPerOp: ns / benchNTest, TotalNs: ns,
-		})
-
-		ns, err = timeOp(func() error {
-			_, err := knnshapley.Truncated(train, test, cfg, 0.01)
-			return err
-		})
-		if err != nil {
-			return fmt.Errorf("truncated n=%d: %w", n, err)
-		}
-		rep.Results = append(rep.Results, benchRecord{
-			Name: "truncated_eps0.01", N: n, Dim: train.Dim(), NTest: benchNTest,
-			NsPerOp: ns / benchNTest, TotalNs: ns,
-		})
-
-		ns, err = timeOp(func() error {
-			_, err := knnshapley.MonteCarlo(train, test, cfg,
-				knnshapley.MCOptions{Bound: knnshapley.Fixed, T: 10, Seed: 1})
-			return err
-		})
-		if err != nil {
-			return fmt.Errorf("montecarlo n=%d: %w", n, err)
-		}
-		rep.Results = append(rep.Results, benchRecord{
-			Name: "montecarlo_t10", N: n, Dim: train.Dim(), NTest: benchNTest,
-			NsPerOp: ns / benchNTest, TotalNs: ns,
-		})
 
 		// Storage/kernel comparison, all per one query·training-set scan:
 		// the norm-precompute GEMV kernel over the flat matrix (float64 and

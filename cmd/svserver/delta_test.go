@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -37,11 +38,11 @@ func exactValues(t *testing.T, x [][]float64, labels []int, testP *payload, k in
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := knnshapley.Exact(train, test, knnshapley.Config{K: k})
+	rep, err := libValuer(t, train, k).Exact(context.Background(), test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return want
+	return rep.Values
 }
 
 func requireBits(t *testing.T, label string, got, want []float64) {

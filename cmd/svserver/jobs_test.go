@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -85,10 +86,11 @@ func TestJobEndpointsLifecycle(t *testing.T) {
 	}
 	train, _ := knnshapley.NewClassificationDataset(req.Train.X, req.Train.Labels)
 	test, _ := knnshapley.NewClassificationDataset(req.Test.X, req.Test.Labels)
-	want, err := knnshapley.Exact(train, test, knnshapley.Config{K: 2})
+	rep, err := libValuer(t, train, 2).Exact(context.Background(), test)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := rep.Values
 	for i := range want {
 		if math.Abs(resp.Values[i]-want[i]) > 1e-12 {
 			t.Fatalf("value %d = %v, want %v", i, resp.Values[i], want[i])

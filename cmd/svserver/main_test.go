@@ -50,6 +50,17 @@ func postValue(t *testing.T, srv *server, body any) (*httptest.ResponseRecorder,
 	return rec, resp
 }
 
+// libValuer opens a library session over train: the in-process reference
+// the server's answers are checked against.
+func libValuer(t *testing.T, train *knnshapley.Dataset, k int) *knnshapley.Valuer {
+	t.Helper()
+	v, err := knnshapley.New(train, knnshapley.WithK(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 func testRequest() valueRequest {
 	return valueRequest{
 		Algorithm: "exact",
@@ -74,10 +85,11 @@ func TestValueExactMatchesLibrary(t *testing.T) {
 	}
 	train, _ := knnshapley.NewClassificationDataset(req.Train.X, req.Train.Labels)
 	test, _ := knnshapley.NewClassificationDataset(req.Test.X, req.Test.Labels)
-	want, err := knnshapley.Exact(train, test, knnshapley.Config{K: 2})
+	rep, err := libValuer(t, train, 2).Exact(context.Background(), test)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := rep.Values
 	if len(resp.Values) != len(want) {
 		t.Fatalf("%d values, want %d", len(resp.Values), len(want))
 	}
@@ -165,10 +177,12 @@ func TestValueSellersAndComposite(t *testing.T) {
 	}
 	train, _ := knnshapley.NewClassificationDataset(req.Train.X, req.Train.Labels)
 	test, _ := knnshapley.NewClassificationDataset(req.Test.X, req.Test.Labels)
-	want, err := knnshapley.SellerValues(train, test, owners, 2, knnshapley.Config{K: 2})
+	lib := libValuer(t, train, 2)
+	sellers, err := lib.Sellers(context.Background(), test, owners, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := sellers.Values
 	if len(resp.Values) != 2 {
 		t.Fatalf("%d seller values, want 2", len(resp.Values))
 	}
@@ -187,7 +201,7 @@ func TestValueSellersAndComposite(t *testing.T) {
 	if resp.Analyst == nil {
 		t.Fatal("composite reply missing analyst share")
 	}
-	comp, err := knnshapley.CompositeValues(train, test, owners, 2, knnshapley.Config{K: 2})
+	comp, err := lib.Composite(context.Background(), test, owners, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,13 +236,13 @@ func TestValueLSHAndKD(t *testing.T) {
 	if resp.KStar != 4 {
 		t.Fatalf("kd kStar = %d, want 4", resp.KStar)
 	}
-	want, err := knnshapley.Truncated(train, test, knnshapley.Config{K: 2}, 0.25)
+	trunc, err := libValuer(t, train, 2).Truncated(context.Background(), test, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if resp.Values[i] != want[i] {
-			t.Fatalf("kd value %d = %v, want %v", i, resp.Values[i], want[i])
+	for i, want := range trunc.Values {
+		if resp.Values[i] != want {
+			t.Fatalf("kd value %d = %v, want %v", i, resp.Values[i], want)
 		}
 	}
 

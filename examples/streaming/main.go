@@ -105,13 +105,17 @@ func main() {
 
 	// The contract that makes the shortcut safe: the incremental values are
 	// bit-identical to valuing the final market from scratch.
-	exact, err := knnshapley.Exact(cur.Dataset(), queries, knnshapley.Config{K: k})
+	v, err := knnshapley.New(cur.Dataset(), knnshapley.WithK(k))
 	if err != nil {
 		log.Fatal(err)
 	}
-	for j := range exact {
-		if math.Float64bits(exact[j]) != math.Float64bits(prev[j]) {
-			log.Fatalf("value %d diverged: %v != %v", j, exact[j], prev[j])
+	exact, err := v.Exact(ctx, queries)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for j, val := range exact.Values {
+		if math.Float64bits(val) != math.Float64bits(prev[j]) {
+			log.Fatalf("value %d diverged: %v != %v", j, val, prev[j])
 		}
 	}
 	st := inc.Stats()

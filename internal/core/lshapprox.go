@@ -101,15 +101,10 @@ func (v *LSHValuer) valueOneInto(q []float64, label int, s *Scratch, dst []float
 	truncatedFromRankingInto(res.IDs, correct, v.train.N(), v.cfg.K, v.cfg.Eps, dst)
 }
 
-// Value averages ValueOne over a test set (Eq. 8 / Theorem 4), streaming
-// the queries through the shared Engine; a canceled ctx aborts within one
-// engine batch.
-func (v *LSHValuer) Value(ctx context.Context, test *dataset.Dataset) ([]float64, error) {
-	return v.ValueEngine(ctx, test, EngineConfig{Workers: v.cfg.Workers})
-}
-
-// ValueEngine is Value with an explicit engine configuration, for callers
-// that want a Progress callback or a custom batch size on the query stream.
+// ValueEngine averages ValueOne over a test set (Eq. 8 / Theorem 4),
+// streaming the queries through the shared Engine under ec (zero Workers
+// falls back to the LSHConfig's); a canceled ctx aborts within one engine
+// batch.
 func (v *LSHValuer) ValueEngine(ctx context.Context, test *dataset.Dataset, ec EngineConfig) ([]float64, error) {
 	if test.IsRegression() {
 		return nil, fmt.Errorf("core: classification test set required")

@@ -86,7 +86,7 @@ func TestLSHValuerMatchesTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := v.Value(context.Background(), test)
+	got, err := v.ValueEngine(context.Background(), test, EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestLSHValuerStreaming(t *testing.T) {
 		vec.AXPY(acc, 1, sv)
 	}
 	vec.Scale(acc, 0.25)
-	batch, err := v.Value(context.Background(), q)
+	batch, err := v.ValueEngine(context.Background(), q, EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestLSHValuerValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := dataset.Regression(dataset.RegressionConfig{N: 5, Dim: train.Dim(), Seed: 3})
-	if _, err := v.Value(context.Background(), bad); err == nil {
+	if _, err := v.ValueEngine(context.Background(), bad, EngineConfig{}); err == nil {
 		t.Error("regression test set accepted")
 	}
 }

@@ -523,6 +523,11 @@ func (m *Manager) Submit(spec Spec) (job *Job, err error) {
 			return job, nil
 		}
 	}
+	// Held until the submit record is written: the worker's first step
+	// locks the job, so its Running and Finished records cannot precede
+	// the Submitted one, which replay would read as a still-pending job.
+	job.mu.Lock()
+	defer job.mu.Unlock()
 	select {
 	case m.queue <- job:
 		m.jobs[job.id] = job
@@ -568,6 +573,8 @@ func (m *Manager) SubmitReplayed(id string, spec Spec) (job *Job, err error) {
 		return nil, ErrDuplicateID
 	}
 	m.bumpSeq(id)
+	j.mu.Lock() // ordered before the worker's records, as in Submit
+	defer j.mu.Unlock()
 	select {
 	case m.queue <- j:
 		m.jobs[id] = j

@@ -3,10 +3,11 @@
 # and examples), build, tests (including the method-registry Validate
 # tables, the Evaluate equivalence suite and the <1µs dispatch-overhead
 # gate), race passes over the execution engine, the job manager, the
-# dataset registry, the cluster coordinator and the context-cancellation
-# paths, a race pass over the distance/argsort kernels and their callers
-# (vec, knn, kheap), a GOAMD64=v3 cross-build of the assembly, fuzz smoke
-# runs over the decode/storage/shard-codec surfaces, a serving benchmark
+# dataset registry, the cluster coordinator, the shared Valuer session and
+# the context-cancellation paths, a race pass over the distance/argsort
+# kernels and their callers (vec, knn, kheap), a GOAMD64=v3 cross-build
+# of the assembly, fuzz smoke runs over the decode/storage/shard-codec
+# surfaces, a serving benchmark
 # of the upload-once/value-many registry path, a method-discovery
 # end-to-end run (a real svserver answering "svcli methods"), a
 # multi-process cluster end-to-end run (three workers + coordinator,
@@ -52,7 +53,7 @@ go test -race ./internal/cluster
 go test -race ./internal/planner
 go test -run TestCancel -race ./...
 go test -run 'TestJob|TestStatz|TestDataset|TestValueByRef|TestValueRef|TestQueuedCancel|TestMethods|TestReplay' -race ./cmd/svserver
-go test -run 'TestEvaluate|TestParams' -race .
+go test -run 'TestEvaluate|TestParams|TestValuer' -race .
 
 # Fuzz smoke: ten seconds per decode/storage surface. New crashers land in
 # testdata/fuzz/ and fail the run.

@@ -14,24 +14,24 @@ import (
 )
 
 // Option configures a Valuer at construction time.
-type Option func(*Config)
+type Option func(*config)
 
 // WithK sets the number of neighbors K of the KNN utility (required, >= 1).
-func WithK(k int) Option { return func(c *Config) { c.K = k } }
+func WithK(k int) Option { return func(c *config) { c.K = k } }
 
 // WithMetric selects the distance metric ranking neighbors (default L2).
-func WithMetric(m Metric) Option { return func(c *Config) { c.Metric = m } }
+func WithMetric(m Metric) Option { return func(c *config) { c.Metric = m } }
 
 // WithWeight selects the weighted KNN utilities (Eqs. 26/27) instead of the
 // unweighted ones (Eqs. 5/25).
-func WithWeight(w WeightFunc) Option { return func(c *Config) { c.Weight = w } }
+func WithWeight(w WeightFunc) Option { return func(c *config) { c.Weight = w } }
 
 // WithWorkers bounds the engine worker pool (default: all cores).
-func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
+func WithWorkers(n int) Option { return func(c *config) { c.Workers = n } }
 
 // WithBatchSize bounds how many test points are in flight at once; peak
 // memory is BatchSize·N distances (default 64).
-func WithBatchSize(n int) Option { return func(c *Config) { c.BatchSize = n } }
+func WithBatchSize(n int) Option { return func(c *config) { c.BatchSize = n } }
 
 // WithPrecision selects the distance-scan compute mode (default Float64).
 // WithPrecision(Float32) stores and scans the training matrix in single
@@ -39,11 +39,7 @@ func WithBatchSize(n int) Option { return func(c *Config) { c.BatchSize = n } }
 // bandwidth-bound scan — at the cost of single-precision rounding in the
 // distances (see the Performance section of the package documentation for
 // the tolerance contract).
-func WithPrecision(p Precision) Option { return func(c *Config) { c.Precision = p } }
-
-// withConfig replays a legacy Config wholesale — the adapter the deprecated
-// free functions use to construct their one-shot Valuer.
-func withConfig(cfg Config) Option { return func(c *Config) { *c = cfg } }
+func WithPrecision(p Precision) Option { return func(c *config) { c.Precision = p } }
 
 // Report is the unified outcome of every Valuer method: the values plus how
 // they were computed. Fields beyond Values/Method/Duration are populated
@@ -120,7 +116,7 @@ type kdEntry struct {
 // A Valuer is safe for concurrent use by multiple goroutines.
 type Valuer struct {
 	train *Dataset
-	cfg   Config
+	cfg   config
 
 	mu          sync.Mutex
 	lsh         map[lshKey]*lshEntry
@@ -145,12 +141,12 @@ type Valuer struct {
 //	v, err := knnshapley.New(train, knnshapley.WithK(5))
 //	rep, err := v.Exact(ctx, test)
 func New(train *Dataset, opts ...Option) (*Valuer, error) {
-	var cfg Config
+	var cfg config
 	for _, opt := range opts {
 		opt(&cfg)
 	}
 	if cfg.K <= 0 {
-		return nil, fmt.Errorf("knnshapley: Config.K = %d, want >= 1 (set WithK)", cfg.K)
+		return nil, fmt.Errorf("knnshapley: K = %d, want >= 1 (set WithK)", cfg.K)
 	}
 	if cfg.Precision != Float64 && cfg.Precision != Float32 {
 		return nil, fmt.Errorf("knnshapley: unknown precision %v", cfg.Precision)
@@ -193,7 +189,7 @@ func (v *Valuer) Fingerprint() uint64 {
 // and BatchSize plus, when ContextWithProgress installed a callback on ctx,
 // a per-batch progress hook reporting against total test points.
 func (v *Valuer) engine(ctx context.Context, total int) core.EngineConfig {
-	ec := v.cfg.engine()
+	ec := core.EngineConfig{Workers: v.cfg.Workers, BatchSize: v.cfg.BatchSize}
 	if fn := ProgressFrom(ctx); fn != nil {
 		ec.Progress = func(done int) { fn(done, total) }
 	}
@@ -231,12 +227,14 @@ func (v *Valuer) precomp() *knn.Precomp {
 	return v.pre
 }
 
-// stream validates test and returns the batched test-point producer.
+// stream validates test and returns the batched test-point producer:
+// distances are computed one engine batch at a time instead of eagerly
+// materializing the Ntest×N matrix.
 func (v *Valuer) stream(test *Dataset) (*knn.Stream, error) {
 	if err := v.checkTest(test); err != nil {
 		return nil, err
 	}
-	return v.cfg.stream(v.train, test, v.precomp())
+	return knn.NewStreamPre(v.cfg.kind(v.train), v.cfg.K, v.cfg.Weight, v.cfg.Metric, v.train, test, v.precomp())
 }
 
 // testPoints validates test and materializes every test point eagerly, for
@@ -245,7 +243,7 @@ func (v *Valuer) testPoints(test *Dataset) ([]*knn.TestPoint, error) {
 	if err := v.checkTest(test); err != nil {
 		return nil, err
 	}
-	return v.cfg.testPoints(v.train, test, v.precomp())
+	return knn.BuildTestPointsPre(v.cfg.kind(v.train), v.cfg.K, v.cfg.Weight, v.cfg.Metric, v.train, test, v.precomp())
 }
 
 // checkOwners validates a seller assignment against the training set.
