@@ -15,6 +15,7 @@ import (
 	"knnshapley/internal/dataset"
 	"knnshapley/internal/jobs"
 	"knnshapley/internal/journal"
+	"knnshapley/internal/knn"
 	"knnshapley/internal/registry"
 	"knnshapley/internal/vec"
 	"knnshapley/internal/wire"
@@ -122,10 +123,11 @@ func runBenchJSON(path string, maxN int) error {
 		}
 
 		// Storage/kernel comparison, all per one query·training-set scan:
-		// the norm-precompute GEMV kernel over the flat matrix (float64 and
-		// float32 storage, norms precomputed outside the timer — the
-		// per-session cost a Valuer amortizes) vs the definitional
-		// row-at-a-time scan over independently-allocated rows.
+		// the norm-precompute GEMV kernel over the flat matrix on one
+		// goroutine (float64 and float32 storage, norms precomputed outside
+		// the timer — the per-session cost a Valuer amortizes), the same
+		// scan as valuations run it, and the definitional row-at-a-time
+		// scan over independently-allocated rows.
 		flat, ok := train.Flat()
 		if !ok {
 			return fmt.Errorf("train dataset not contiguous")
@@ -146,7 +148,7 @@ func runBenchJSON(path string, maxN int) error {
 		const reps = 50
 		start := time.Now()
 		for r := 0; r < reps; r++ {
-			vec.SqL2NormDotBatch(out, flat, train.N(), train.Dim(), norms, testFlat, benchNTest)
+			vec.SqL2NormDotBatch(out, flat, train.N(), train.Dim(), norms, testFlat, benchNTest, 0, train.N())
 		}
 		normdotNs := time.Since(start).Nanoseconds() / (reps * benchNTest)
 		rep.Results = append(rep.Results, benchRecord{
@@ -155,12 +157,33 @@ func runBenchJSON(path string, maxN int) error {
 		})
 		start = time.Now()
 		for r := 0; r < reps; r++ {
-			vec.SqL2NormDotBatch32(out, flat32, train.N(), train.Dim(), norms32, testFlat32, benchNTest)
+			vec.SqL2NormDotBatch32(out, flat32, train.N(), train.Dim(), norms32, testFlat32, benchNTest, 0, train.N())
 		}
 		normdot32Ns := time.Since(start).Nanoseconds() / (reps * benchNTest)
 		rep.Results = append(rep.Results, benchRecord{
 			Name: "distscan_normdot32", N: n, Dim: train.Dim(), NTest: benchNTest,
 			NsPerOp: normdot32Ns, TotalNs: normdot32Ns * reps * benchNTest,
+		})
+		// The same scan as valuations run it: knn.Stream.NextBatch at the
+		// default worker count, L2 root and correctness flags included,
+		// split across cores and cache-blocked into row panels.
+		pre := knn.NewPrecomp(train, vec.L2, knn.Float64)
+		stream, err := knn.NewStreamPre(knn.UnweightedClass, benchK, nil, vec.L2, train, test, pre)
+		if err != nil {
+			return fmt.Errorf("distscan_stream n=%d: %w", n, err)
+		}
+		tps := make([]*knn.TestPoint, benchNTest)
+		start = time.Now()
+		for r := 0; r < reps; r++ {
+			stream.Reset()
+			if _, err := stream.NextBatch(ctx, tps); err != nil {
+				return fmt.Errorf("distscan_stream n=%d: %w", n, err)
+			}
+		}
+		streamNs := time.Since(start).Nanoseconds() / (reps * benchNTest)
+		rep.Results = append(rep.Results, benchRecord{
+			Name: "distscan_stream", N: n, Dim: train.Dim(), NTest: benchNTest,
+			NsPerOp: streamNs, TotalNs: streamNs * reps * benchNTest,
 		})
 		q := test.X[0]
 		start = time.Now()

@@ -82,7 +82,8 @@
 //
 // Every valuation method runs on a single internal execution engine. The
 // engine owns a bounded worker pool (WithWorkers goroutines, period —
-// workers are created before any work is enqueued), streams test points
+// workers are created before any work is enqueued, and the distance scan
+// splits across at most that many goroutines too), streams test points
 // from a producer in batches of WithBatchSize, and dispatches each test
 // point to a pluggable per-test-point kernel (exact classification, exact
 // regression, truncated, weighted counting, Monte Carlo permutation
@@ -106,7 +107,9 @@
 // one GEMV-shaped sweep of the training matrix per group of four test
 // points, running on hand-written SSE2/AVX kernels on amd64 (AVX is
 // detected at startup; both bodies are bit-identical) and a bit-identical
-// pure-Go summation tree elsewhere. Every dot product uses the same fixed
+// pure-Go summation tree elsewhere. Each batch scan splits the training
+// rows across the workers and walks them in L2-sized panels that every
+// query group sweeps while cached. Every dot product uses the same fixed
 // summation tree regardless of platform, batching or worker count, which
 // is what keeps valuations bit-reproducible. After the scan, the
 // truncated method selects its K* nearest with a partial top-K heap

@@ -18,7 +18,8 @@ const DefaultBatchSize = 64
 
 // EngineConfig holds the execution knobs shared by every valuation backend.
 type EngineConfig struct {
-	// Workers bounds the goroutines computing kernels (0 = GOMAXPROCS).
+	// Workers bounds the goroutines computing kernels, reducing results
+	// and, for a WorkerBound source, scanning (0 = GOMAXPROCS).
 	Workers int
 	// BatchSize bounds how many work items are in flight at once
 	// (0 = DefaultBatchSize).
@@ -128,6 +129,18 @@ func (e *Engine[T]) Run(ctx context.Context, src Source[T], kern Kernel[T]) ([]f
 	return sv, nil
 }
 
+// WorkerBound is implemented by sources whose NextBatch runs in parallel
+// itself, like knn.Stream's distance scan. RunSum hands them its worker
+// count before the first batch, so Workers bounds every goroutine of a run.
+type WorkerBound interface {
+	SetWorkers(n int)
+}
+
+// reduceChunk is the fewest result columns one worker of the parallel
+// ordered reduction sums; outputs narrower than two chunks (the LSH and
+// kd query values among them) are reduced on the driving goroutine.
+const reduceChunk = 1 << 14
+
 // RunSum is Run without the final averaging: it returns the item count and
 // the plain sum of the per-item vectors, for callers that weight or
 // normalize differently.
@@ -138,14 +151,21 @@ func (e *Engine[T]) RunSum(ctx context.Context, src Source[T], kern Kernel[T]) (
 	out := kern.OutLen()
 	batch := e.cfg.batch()
 	workers := e.cfg.workers()
+	if wb, ok := src.(WorkerBound); ok {
+		wb.SetWorkers(workers)
+	}
 
 	acc := make([]float64, out)
 	items := make([]T, batch)
 	results := make([][]float64, batch)
 
+	// A job computes one item into its result slot, or, when nb > 0, adds
+	// columns [lo,hi) of the first nb result slots into acc.
 	type job struct {
 		slot, idx int
 		item      T
+		lo, hi    int
+		nb        int
 	}
 	jobs := make(chan job)
 	var wg sync.WaitGroup
@@ -155,9 +175,19 @@ func (e *Engine[T]) RunSum(ctx context.Context, src Source[T], kern Kernel[T]) (
 		go func() {
 			s := NewScratch()
 			for jb := range jobs {
+				if jb.nb > 0 {
+					reduceSlots(acc, results[:jb.nb], jb.lo, jb.hi)
+					wg.Done()
+					continue
+				}
+				// A slot's first use allocates its (zeroed) vector on the
+				// worker; later uses clear it.
 				dst := results[jb.slot]
-				for i := range dst {
-					dst[i] = 0
+				if dst == nil {
+					dst = make([]float64, out)
+					results[jb.slot] = dst
+				} else {
+					clear(dst)
 				}
 				if err := kern.Compute(ctx, jb.idx, jb.item, s, dst); err != nil {
 					mu.Lock()
@@ -172,6 +202,11 @@ func (e *Engine[T]) RunSum(ctx context.Context, src Source[T], kern Kernel[T]) (
 	}
 	defer close(jobs)
 
+	// Ordered reduction: every column adds the batch's results in slot
+	// order, which is stream order, so the sum is bit-identical to a
+	// sequential pass regardless of scheduling. Wide outputs split their
+	// columns across the workers; the per-column order does not change.
+	parts := min(workers, out/reduceChunk)
 	total := 0
 	for {
 		// Per-batch cancellation point: a canceled context stops the run
@@ -187,11 +222,6 @@ func (e *Engine[T]) RunSum(ctx context.Context, src Source[T], kern Kernel[T]) (
 		if nb == 0 {
 			break
 		}
-		for i := 0; i < nb; i++ {
-			if results[i] == nil {
-				results[i] = make([]float64, out)
-			}
-		}
 		wg.Add(nb)
 		for i := 0; i < nb; i++ {
 			jobs <- job{slot: i, idx: total + i, item: items[i]}
@@ -203,13 +233,14 @@ func (e *Engine[T]) RunSum(ctx context.Context, src Source[T], kern Kernel[T]) (
 		if err != nil {
 			return nil, 0, err
 		}
-		// Ordered reduction: slot order is stream order, so the sum is
-		// bit-identical to a sequential pass regardless of scheduling.
-		for i := 0; i < nb; i++ {
-			r := results[i]
-			for j, v := range r {
-				acc[j] += v
+		if parts < 2 {
+			reduceSlots(acc, results[:nb], 0, out)
+		} else {
+			wg.Add(parts)
+			for p := 0; p < parts; p++ {
+				jobs <- job{lo: p * out / parts, hi: (p + 1) * out / parts, nb: nb}
 			}
+			wg.Wait()
 		}
 		total += nb
 		if e.cfg.Progress != nil {
@@ -217,6 +248,17 @@ func (e *Engine[T]) RunSum(ctx context.Context, src Source[T], kern Kernel[T]) (
 		}
 	}
 	return acc, total, nil
+}
+
+// reduceSlots adds columns [lo,hi) of every result vector into acc, in
+// slot order.
+func reduceSlots(acc []float64, results [][]float64, lo, hi int) {
+	acc = acc[lo:hi]
+	for _, r := range results {
+		for j, v := range r[lo:hi] {
+			acc[j] += v
+		}
+	}
 }
 
 // Scratch holds per-worker reusable buffers so kernels do not allocate per

@@ -186,31 +186,36 @@ func TestEngineMatchesSeedWeighted(t *testing.T) {
 }
 
 // The engine's ordered reduction must make results independent of batch
-// size and worker count down to the last bit.
+// size and worker count down to the last bit — also for an output wide
+// enough for the column-partitioned reduction, at a width no worker count
+// divides.
 func TestEngineDeterministicAcrossSchedules(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7005, 5))
-	tps := make([]*knn.TestPoint, 29)
-	for j := range tps {
-		tps[j] = randomClassTP(53, 4, 3, rng)
-	}
-	kern := ExactClassKernel{N: 53}
-	var want []float64
-	for _, cfg := range []EngineConfig{
-		{Workers: 1, BatchSize: 1},
-		{Workers: 7, BatchSize: 4},
-		{Workers: 16, BatchSize: 64},
-	} {
-		got, err := NewEngine[*knn.TestPoint](cfg).Run(context.Background(), NewSliceSource(tps), kern)
-		if err != nil {
-			t.Fatal(err)
+	for _, shape := range []struct{ n, items int }{{53, 29}, {3*reduceChunk + 7, 9}} {
+		tps := make([]*knn.TestPoint, shape.items)
+		for j := range tps {
+			tps[j] = randomClassTP(shape.n, 4, 3, rng)
 		}
-		if want == nil {
-			want = got
-			continue
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("cfg %+v: sv[%d] = %v differs from %v", cfg, i, got[i], want[i])
+		kern := ExactClassKernel{N: shape.n}
+		var want []float64
+		for _, cfg := range []EngineConfig{
+			{Workers: 1, BatchSize: 1},
+			{Workers: 2, BatchSize: 3},
+			{Workers: 7, BatchSize: 4},
+			{Workers: 16, BatchSize: 64},
+		} {
+			got, err := NewEngine[*knn.TestPoint](cfg).Run(context.Background(), NewSliceSource(tps), kern)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d cfg %+v: sv[%d] = %v differs from %v", shape.n, cfg, i, got[i], want[i])
+				}
 			}
 		}
 	}
@@ -261,6 +266,49 @@ func TestEngineBoundsGoroutines(t *testing.T) {
 	// would show ~items extra goroutines here.
 	if got := kern.maxGoronum.Load(); got > int64(base+workers+20) {
 		t.Fatalf("%d live goroutines (base %d), the pool is not bounded", got, base)
+	}
+}
+
+// A real knn.Stream above the parallel-scan threshold takes the engine's
+// worker count: the scan's goroutines stay inside the same bound as the
+// pool's, and Workers: 1 spawns no scan goroutine at all.
+func TestEngineBoundsScanGoroutines(t *testing.T) {
+	train := dataset.MNISTLike(16384, 1)
+	test := dataset.MNISTLike(32, 2)
+	for _, workers := range []int{1, 3} {
+		stream, err := knn.NewStream(knn.UnweightedClass, 3, nil, vec.L2, train, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var peak atomic.Int64
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				atomicMax(&peak, int64(runtime.NumGoroutine()))
+				runtime.Gosched()
+			}
+		}()
+		base := runtime.NumGoroutine() // the sampler included
+		_, err = NewEngine[*knn.TestPoint](EngineConfig{Workers: workers, BatchSize: 16}).
+			Run(context.Background(), stream, ExactClassKernel{N: train.N()})
+		close(stop)
+		<-done
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := peak.Load()
+		if workers == 1 && got > int64(base+1) {
+			t.Fatalf("Workers: 1: %d live goroutines (base %d), the scan spawned goroutines", got, base)
+		}
+		if got > int64(base+workers+20) {
+			t.Fatalf("Workers: %d: %d live goroutines (base %d), the scan is not bounded", workers, got, base)
+		}
 	}
 }
 

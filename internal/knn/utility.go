@@ -86,7 +86,7 @@ func BuildTestPoint(kind Kind, k int, weight WeightFunc, metric vec.Metric,
 		// Same norm-precompute expression as the streamed GEMV tile, so the
 		// singular and batched builders agree bit for bit.
 		tp.Dist = make([]float64, len(trainX))
-		sqL2ScanRows(tp.Dist, trainX, nil, q)
+		sqL2ScanRows(tp.Dist, trainX, q)
 		if metric == vec.L2 {
 			for i, v := range tp.Dist {
 				tp.Dist[i] = math.Sqrt(v)

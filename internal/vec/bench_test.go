@@ -79,7 +79,7 @@ func BenchmarkSqL2NormDotBatch(b *testing.B) {
 			b.SetBytes(int64(batch * shape.n * shape.dim * 8))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				SqL2NormDotBatch(dst, trainFlat, shape.n, shape.dim, norms, testFlat, batch)
+				SqL2NormDotBatch(dst, trainFlat, shape.n, shape.dim, norms, testFlat, batch, 0, shape.n)
 			}
 		})
 	}
@@ -99,7 +99,7 @@ func BenchmarkSqL2NormDotBatch32(b *testing.B) {
 			b.SetBytes(int64(batch * shape.n * shape.dim * 4))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				SqL2NormDotBatch32(dst, trainFlat32, shape.n, shape.dim, norms32, testFlat32, batch)
+				SqL2NormDotBatch32(dst, trainFlat32, shape.n, shape.dim, norms32, testFlat32, batch, 0, shape.n)
 			}
 		})
 	}

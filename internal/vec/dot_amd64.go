@@ -38,13 +38,14 @@ func dot4x32(row, q0, q1, q2, q3 []float32, out *[4]float32) {
 // sqL2Gemv4x32 runs one four-query distance group — every row's dots,
 // norms arithmetic, clamp, and float64 widening — as a single assembly
 // sweep, eliminating the per-row call and slicing overhead of the
-// portable loop. Bit-identical to sqL2Gemv4x32Go.
-func sqL2Gemv4x32(dst4 []float64, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32) {
+// portable loop. Query j's distances land at dst4[j*stride:], so one call
+// fills a row panel of a wider tile. Bit-identical to sqL2Gemv4x32Go.
+func sqL2Gemv4x32(dst4 []float64, n, stride int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32) {
 	if useAVX {
-		gemv4x32avx(dst4, n, flat, dim, norms, q0, q1, q2, q3, qn)
+		gemv4x32avx(dst4, n, stride, flat, dim, norms, q0, q1, q2, q3, qn)
 		return
 	}
-	gemv4x32sse(dst4, n, flat, dim, norms, q0, q1, q2, q3, qn)
+	gemv4x32sse(dst4, n, stride, flat, dim, norms, q0, q1, q2, q3, qn)
 }
 
 //go:noescape
@@ -66,7 +67,7 @@ func dot4x32sse(row, q0, q1, q2, q3 []float32, out *[4]float32)
 func dot4x32avx(row, q0, q1, q2, q3 []float32, out *[4]float32)
 
 //go:noescape
-func gemv4x32sse(dst4 []float64, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
+func gemv4x32sse(dst4 []float64, n, stride int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
 
 //go:noescape
-func gemv4x32avx(dst4 []float64, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
+func gemv4x32avx(dst4 []float64, n, stride int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)

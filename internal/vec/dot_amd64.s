@@ -508,7 +508,7 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func gemv4x32sse(dst4 []float64, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
+// func gemv4x32sse(dst4 []float64, n, stride int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
 //
 // One whole four-query distance group in a single call: for every row r,
 // accumulate the four dots with the 8-lane tree (accumulator pairs
@@ -518,27 +518,28 @@ no:
 // finish v = nr + qn - 2·dot, the <0 clamp, and the float64 widening as
 // packed lane-wise ops (IEEE identical to the scalar expressions of
 // sqL2Gemv4x32Go). Row data is indexed by BX so the query base pointers
-// never move; distance rows d0..d3 are the n-strided columns of dst4
-// (R11 walks d0/d1, R13 = R11 + 2n·8 walks d2/d3, R12 = n·8).
+// never move; distance rows d0..d3 start stride elements apart in dst4,
+// so a call can fill an n-row panel of a wider tile (R11 walks d0/d1,
+// R13 = R11 + 2·stride·8 walks d2/d3, R12 = stride·8).
 // X12 holds the packed query norms, X13 a packed zero for the clamp;
 // BP (saved) walks the row norms.
-TEXT ·gemv4x32sse(SB), NOSPLIT, $16-192
+TEXT ·gemv4x32sse(SB), NOSPLIT, $16-200
 	MOVQ BP, 8(SP)
 	MOVQ dst4_base+0(FP), R11
 	MOVQ n+24(FP), AX
 	TESTQ AX, AX
 	JZ   done
-	MOVQ AX, R12
+	MOVQ stride+32(FP), R12
 	SHLQ $3, R12
 	LEAQ (R11)(R12*2), R13
-	MOVQ flat_base+32(FP), SI
-	MOVQ dim+56(FP), CX
-	MOVQ norms_base+64(FP), BP
-	MOVQ q0_base+88(FP), DI
-	MOVQ q1_base+112(FP), R8
-	MOVQ q2_base+136(FP), R9
-	MOVQ q3_base+160(FP), R10
-	MOVQ qn+184(FP), DX
+	MOVQ flat_base+40(FP), SI
+	MOVQ dim+64(FP), CX
+	MOVQ norms_base+72(FP), BP
+	MOVQ q0_base+96(FP), DI
+	MOVQ q1_base+120(FP), R8
+	MOVQ q2_base+144(FP), R9
+	MOVQ q3_base+168(FP), R10
+	MOVQ qn+192(FP), DX
 	MOVUPS (DX), X12
 	XORPS X13, X13
 	MOVQ CX, BX
@@ -658,30 +659,30 @@ done:
 	MOVQ 8(SP), BP
 	RET
 
-// func gemv4x32avx(dst4 []float64, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
+// func gemv4x32avx(dst4 []float64, n, stride int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
 //
 // The AVX body of the group sweep: one ymm accumulator per query
 // (Y0-Y3, products in Y4-Y7, row chunk in Y8), lanes 4-7 extracted to
 // X8-X11 before the scalar tail, then the identical transposed fold and
 // packed distance epilogue of gemv4x32sse. Register map otherwise as in
 // gemv4x32sse.
-TEXT ·gemv4x32avx(SB), NOSPLIT, $16-192
+TEXT ·gemv4x32avx(SB), NOSPLIT, $16-200
 	MOVQ BP, 8(SP)
 	MOVQ dst4_base+0(FP), R11
 	MOVQ n+24(FP), AX
 	TESTQ AX, AX
 	JZ   done
-	MOVQ AX, R12
+	MOVQ stride+32(FP), R12
 	SHLQ $3, R12
 	LEAQ (R11)(R12*2), R13
-	MOVQ flat_base+32(FP), SI
-	MOVQ dim+56(FP), CX
-	MOVQ norms_base+64(FP), BP
-	MOVQ q0_base+88(FP), DI
-	MOVQ q1_base+112(FP), R8
-	MOVQ q2_base+136(FP), R9
-	MOVQ q3_base+160(FP), R10
-	MOVQ qn+184(FP), DX
+	MOVQ flat_base+40(FP), SI
+	MOVQ dim+64(FP), CX
+	MOVQ norms_base+72(FP), BP
+	MOVQ q0_base+96(FP), DI
+	MOVQ q1_base+120(FP), R8
+	MOVQ q2_base+144(FP), R9
+	MOVQ q3_base+168(FP), R10
+	MOVQ qn+192(FP), DX
 	MOVUPS (DX), X12
 	XORPS X13, X13
 	MOVQ CX, BX

@@ -90,19 +90,23 @@ func BenchmarkDot4x32Bodies(b *testing.B) {
 // for bit on every shape — including scalar tails (dim % 8), dims below
 // one chunk, single rows, negative-identity clamps, and non-finite
 // inputs (Inf rows make v = Inf - Inf = NaN, which the clamp must
-// preserve, not zero).
+// preserve, not zero). Each shape is also swept as a panel written inside
+// a wider tile (stride > n, starting mid-row): the panel must equal the
+// back-to-back result, and canaries outside its columns stay untouched.
 func TestGemv4x32MatchesGo(t *testing.T) {
+	type gemv func(dst4 []float64, n, stride int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
 	rng := rand.New(rand.NewPCG(98, 10))
 	kernels := []struct {
 		name string
-		f    func(dst4 []float64, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
-	}{{"sse", gemv4x32sse}}
+		f    gemv
+	}{{"go", sqL2Gemv4x32Go}, {"sse", gemv4x32sse}}
 	if useAVX {
 		kernels = append(kernels, struct {
 			name string
-			f    func(dst4 []float64, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32)
+			f    gemv
 		}{"avx", gemv4x32avx})
 	}
+	const canary = -7.25
 	for _, shape := range [][2]int{{1, 1}, {3, 5}, {7, 8}, {13, 9}, {64, 17}, {31, 64}, {200, 23}} {
 		n, dim := shape[0], shape[1]
 		flat := make([]float32, n*dim)
@@ -124,18 +128,43 @@ func TestGemv4x32MatchesGo(t *testing.T) {
 		norms := SqNorms32(nil, flat, n, dim)
 		qn := [4]float32{SqNorm32(qs[0]), SqNorm32(qs[1]), SqNorm32(qs[2]), SqNorm32(qs[3])}
 		want := make([]float64, 4*n)
-		sqL2Gemv4x32Go(want, n, flat, dim, norms, qs[0], qs[1], qs[2], qs[3], &qn)
+		sqL2Gemv4x32Go(want, n, n, flat, dim, norms, qs[0], qs[1], qs[2], qs[3], &qn)
 		for _, k := range kernels {
 			got := make([]float64, 4*n)
-			k.f(got, n, flat, dim, norms, qs[0], qs[1], qs[2], qs[3], &qn)
+			k.f(got, n, n, flat, dim, norms, qs[0], qs[1], qs[2], qs[3], &qn)
 			for i := range want {
-				if got[i] != want[i] && !(isNaN64(got[i]) && isNaN64(want[i])) {
+				if !sameBits(got[i], want[i]) {
 					t.Fatalf("%s n=%d dim=%d: dst4[%d] = %v, want %v", k.name, n, dim, i, got[i], want[i])
+				}
+			}
+			// The same panel at columns [off, off+n) of a 4×stride tile.
+			const off = 3
+			stride := n + 2*off + 1
+			tile := make([]float64, 4*stride)
+			for i := range tile {
+				tile[i] = canary
+			}
+			k.f(tile[off:3*stride+off+n], n, stride, flat, dim, norms, qs[0], qs[1], qs[2], qs[3], &qn)
+			for j := 0; j < 4; j++ {
+				for c := 0; c < stride; c++ {
+					got := tile[j*stride+c]
+					if c < off || c >= off+n {
+						if got != canary {
+							t.Fatalf("%s n=%d dim=%d stride=%d: query %d column %d outside the panel overwritten with %v", k.name, n, dim, stride, j, c, got)
+						}
+						continue
+					}
+					if w := want[j*n+c-off]; !sameBits(got, w) {
+						t.Fatalf("%s n=%d dim=%d stride=%d: query %d column %d = %v, want %v", k.name, n, dim, stride, j, c, got, w)
+					}
 				}
 			}
 		}
 	}
 }
+
+// sameBits reports whether two distances are equal, counting NaN == NaN.
+func sameBits(a, b float64) bool { return a == b || (isNaN64(a) && isNaN64(b)) }
 
 func inf(sign int) float64   { return math.Inf(sign) }
 func isNaN64(v float64) bool { return v != v }

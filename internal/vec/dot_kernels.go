@@ -13,8 +13,9 @@ import "fmt"
 // Summation-order contract: every dot product — single-query, grouped by
 // four, assembly or fallback, float64 or float32 — accumulates with the
 // same tree, so a distance depends only on (row, query), never on how
-// queries were batched. The engine's bit-identity guarantee across
-// Workers/BatchSize settings rests on this.
+// queries were batched or rows were split into panels and goroutines.
+// The engine's bit-identity guarantee across Workers/BatchSize settings
+// rests on this.
 
 // dotTreeGo64 is the pure-Go mirror of the SSE2 float64 summation tree:
 // two lanes, lane 0 accumulating even offsets (and the scalar tail),
@@ -119,22 +120,17 @@ func SqL2NormDot(a, q []float64, aNorm, qNorm float64) float64 {
 }
 
 // SqL2NormDotBatch fills dst[qi*n+r] = ‖row r − query qi‖² for the
-// row-major n×dim training matrix flat and the row-major nq×dim query
-// block qflat, using the precomputed training norms. The training matrix
-// streams through memory once per four queries (the GEMV grouping), which
-// is what makes the scan faster than per-query passes; per-query sums use
-// the single-query tree exactly, so results do not depend on nq. dst must
-// have nq*n capacity; the re-sliced buffer is returned.
-func SqL2NormDotBatch(dst []float64, flat []float64, n, dim int, norms []float64, qflat []float64, nq int) []float64 {
-	checkFlat(len(flat), n, dim)
-	checkFlat(len(qflat), nq, dim)
-	if len(norms) != n {
-		panic(fmt.Sprintf("vec: %d norms for %d rows", len(norms), n))
-	}
-	if cap(dst) < nq*n {
-		dst = make([]float64, nq*n)
-	}
-	dst = dst[:nq*n]
+// training rows r in [lo,hi) of the row-major n×dim matrix flat and the
+// row-major nq×dim query block qflat, using the precomputed training
+// norms. dst is the nq×n distance tile with row stride n; entries outside
+// columns [lo,hi) are left untouched, and the whole-matrix scan is the
+// lo=0, hi=n case. The training rows stream through memory once per four
+// queries (the GEMV grouping); per-query sums use the single-query tree
+// exactly, so a distance depends only on (row, query) — never on nq, on
+// the row range, or on which goroutine filled it. dst must have nq*n
+// capacity; the re-sliced buffer is returned.
+func SqL2NormDotBatch(dst []float64, flat []float64, n, dim int, norms []float64, qflat []float64, nq, lo, hi int) []float64 {
+	dst = checkBatch(dst, len(flat), n, dim, len(norms), len(qflat), nq, lo, hi)
 	var qn [4]float64
 	var dots [4]float64
 	qi := 0
@@ -148,7 +144,7 @@ func SqL2NormDotBatch(dst []float64, flat []float64, n, dim int, norms []float64
 		d1 := dst[(qi+1)*n : (qi+2)*n]
 		d2 := dst[(qi+2)*n : (qi+3)*n]
 		d3 := dst[(qi+3)*n : (qi+4)*n]
-		for r := 0; r < n; r++ {
+		for r := lo; r < hi; r++ {
 			row := flat[r*dim : (r+1)*dim]
 			dot4x64(row, q0, q1, q2, q3, &dots)
 			nr := norms[r]
@@ -175,7 +171,7 @@ func SqL2NormDotBatch(dst []float64, flat []float64, n, dim int, norms []float64
 		q := qflat[qi*dim : (qi+1)*dim]
 		qNorm := SqNorm(q)
 		d := dst[qi*n : (qi+1)*n]
-		for r := 0; r < n; r++ {
+		for r := lo; r < hi; r++ {
 			d[r] = SqL2NormDot(flat[r*dim:(r+1)*dim], q, norms[r], qNorm)
 		}
 	}
@@ -186,16 +182,9 @@ func SqL2NormDotBatch(dst []float64, flat []float64, n, dim int, norms []float64
 // training matrix, its norms and the query block are float32 (half the
 // memory traffic of the float64 scan), and each squared distance is
 // widened to float64 on store so downstream ranking code is unchanged.
-func SqL2NormDotBatch32(dst []float64, flat []float32, n, dim int, norms []float32, qflat []float32, nq int) []float64 {
-	checkFlat(len(flat), n, dim)
-	checkFlat(len(qflat), nq, dim)
-	if len(norms) != n {
-		panic(fmt.Sprintf("vec: %d norms for %d rows", len(norms), n))
-	}
-	if cap(dst) < nq*n {
-		dst = make([]float64, nq*n)
-	}
-	dst = dst[:nq*n]
+func SqL2NormDotBatch32(dst []float64, flat []float32, n, dim int, norms []float32, qflat []float32, nq, lo, hi int) []float64 {
+	dst = checkBatch(dst, len(flat), n, dim, len(norms), len(qflat), nq, lo, hi)
+	rows, panel, pnorms := hi-lo, flat[lo*dim:hi*dim], norms[lo:hi]
 	var qn [4]float32
 	qi := 0
 	for ; qi+4 <= nq; qi += 4 {
@@ -204,13 +193,13 @@ func SqL2NormDotBatch32(dst []float64, flat []float32, n, dim int, norms []float
 		q2 := qflat[(qi+2)*dim : (qi+3)*dim]
 		q3 := qflat[(qi+3)*dim : (qi+4)*dim]
 		qn[0], qn[1], qn[2], qn[3] = SqNorm32(q0), SqNorm32(q1), SqNorm32(q2), SqNorm32(q3)
-		sqL2Gemv4x32(dst[qi*n:(qi+4)*n], n, flat, dim, norms, q0, q1, q2, q3, &qn)
+		sqL2Gemv4x32(dst[qi*n+lo:(qi+3)*n+hi], rows, n, panel, dim, pnorms, q0, q1, q2, q3, &qn)
 	}
 	for ; qi < nq; qi++ {
 		q := qflat[qi*dim : (qi+1)*dim]
 		qNorm := SqNorm32(q)
 		d := dst[qi*n : (qi+1)*n]
-		for r := 0; r < n; r++ {
+		for r := lo; r < hi; r++ {
 			v := norms[r] + qNorm - 2*dot1x32(flat[r*dim:(r+1)*dim], q)
 			if v < 0 {
 				v = 0
@@ -222,13 +211,14 @@ func SqL2NormDotBatch32(dst []float64, flat []float32, n, dim int, norms []float
 }
 
 // sqL2Gemv4x32Go is the portable body of one four-query float32 GEMV
-// group: dst4 is the 4n-length window holding the four queries' distance
-// rows back to back. On amd64 sqL2Gemv4x32 (dot_amd64.go) replaces the
+// group over n training rows: query j's n distances go to
+// dst4[j*stride : j*stride+n], so the group can fill a row panel of a
+// wider distance tile. On amd64 sqL2Gemv4x32 (dot_amd64.go) replaces the
 // whole loop with a single assembly sweep — same tree, same distance
-// expression, same clamp, so the outputs are bit-identical
-// (TestGemv4x32MatchesGo pins this).
-func sqL2Gemv4x32Go(dst4 []float64, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32) {
-	d0, d1, d2, d3 := dst4[0:n], dst4[n:2*n], dst4[2*n:3*n], dst4[3*n:4*n]
+// expression, same clamp, same strided stores, so the outputs are
+// bit-identical (TestGemv4x32MatchesGo pins this).
+func sqL2Gemv4x32Go(dst4 []float64, n, stride int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32) {
+	d0, d1, d2, d3 := dst4[0:n], dst4[stride:stride+n], dst4[2*stride:2*stride+n], dst4[3*stride:3*stride+n]
 	var dots [4]float32
 	for r := 0; r < n; r++ {
 		row := flat[r*dim : (r+1)*dim]
@@ -252,6 +242,25 @@ func sqL2Gemv4x32Go(dst4 []float64, n int, flat []float32, dim int, norms []floa
 		}
 		d0[r], d1[r], d2[r], d3[r] = float64(v0), float64(v1), float64(v2), float64(v3)
 	}
+}
+
+// checkBatch panics unless the arguments of a batched scan describe an
+// n×dim training matrix with n norms, an nq×dim query block and a row
+// range inside [0,n), and returns dst re-sliced (or allocated) to the
+// nq×n tile.
+func checkBatch(dst []float64, flatLen, n, dim, normsLen, qflatLen, nq, lo, hi int) []float64 {
+	checkFlat(flatLen, n, dim)
+	checkFlat(qflatLen, nq, dim)
+	if normsLen != n {
+		panic(fmt.Sprintf("vec: %d norms for %d rows", normsLen, n))
+	}
+	if lo < 0 || lo > hi || hi > n {
+		panic(fmt.Sprintf("vec: row range [%d,%d) outside %d rows", lo, hi, n))
+	}
+	if cap(dst) < nq*n {
+		dst = make([]float64, nq*n)
+	}
+	return dst[:nq*n]
 }
 
 // checkFlat panics unless a flat buffer of length got holds an n×dim

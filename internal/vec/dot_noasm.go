@@ -24,6 +24,6 @@ func dot4x32(row, q0, q1, q2, q3 []float32, out *[4]float32) {
 	out[3] = dotTreeGo32(row, q3)
 }
 
-func sqL2Gemv4x32(dst4 []float64, n int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32) {
-	sqL2Gemv4x32Go(dst4, n, flat, dim, norms, q0, q1, q2, q3, qn)
+func sqL2Gemv4x32(dst4 []float64, n, stride int, flat []float32, dim int, norms []float32, q0, q1, q2, q3 []float32, qn *[4]float32) {
+	sqL2Gemv4x32Go(dst4, n, stride, flat, dim, norms, q0, q1, q2, q3, qn)
 }

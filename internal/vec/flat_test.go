@@ -28,7 +28,7 @@ func TestSqL2NormDotBatchMatchesRowScan(t *testing.T) {
 		trainFlat, trainRows := randomFlat(nTrain, dim, rng)
 		testFlat, testRows := randomFlat(nTest, dim, rng)
 		norms := SqNorms(nil, trainFlat, nTrain, dim)
-		dst := SqL2NormDotBatch(nil, trainFlat, nTrain, dim, norms, testFlat, nTest)
+		dst := SqL2NormDotBatch(nil, trainFlat, nTrain, dim, norms, testFlat, nTest, 0, nTrain)
 		for i := 0; i < nTest; i++ {
 			for j := 0; j < nTrain; j++ {
 				want := SqL2(trainRows[j], testRows[i])
@@ -58,23 +58,40 @@ func TestSqL2NormDotBatchGroupingInvariant(t *testing.T) {
 	norms32 := SqNorms32(nil, ToFloat32(nil, trainFlat), nTrain, dim)
 	trainFlat32 := ToFloat32(nil, trainFlat)
 	testFlat32 := ToFloat32(nil, testFlat)
-	want := SqL2NormDotBatch(nil, trainFlat, nTrain, dim, norms, testFlat, nTest)
-	want32 := SqL2NormDotBatch32(nil, trainFlat32, nTrain, dim, norms32, testFlat32, nTest)
+	want := SqL2NormDotBatch(nil, trainFlat, nTrain, dim, norms, testFlat, nTest, 0, nTrain)
+	want32 := SqL2NormDotBatch32(nil, trainFlat32, nTrain, dim, norms32, testFlat32, nTest, 0, nTrain)
 	for split := 1; split < nTest; split++ {
-		a := SqL2NormDotBatch(nil, trainFlat, nTrain, dim, norms, testFlat[:split*dim], split)
-		b := SqL2NormDotBatch(nil, trainFlat, nTrain, dim, norms, testFlat[split*dim:], nTest-split)
+		a := SqL2NormDotBatch(nil, trainFlat, nTrain, dim, norms, testFlat[:split*dim], split, 0, nTrain)
+		b := SqL2NormDotBatch(nil, trainFlat, nTrain, dim, norms, testFlat[split*dim:], nTest-split, 0, nTrain)
 		got := append(a, b...)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("split %d: dst[%d] = %v, want %v (batch grouping changed bits)", split, i, got[i], want[i])
 			}
 		}
-		a32 := SqL2NormDotBatch32(nil, trainFlat32, nTrain, dim, norms32, testFlat32[:split*dim], split)
-		b32 := SqL2NormDotBatch32(nil, trainFlat32, nTrain, dim, norms32, testFlat32[split*dim:], nTest-split)
+		a32 := SqL2NormDotBatch32(nil, trainFlat32, nTrain, dim, norms32, testFlat32[:split*dim], split, 0, nTrain)
+		b32 := SqL2NormDotBatch32(nil, trainFlat32, nTrain, dim, norms32, testFlat32[split*dim:], nTest-split, 0, nTrain)
 		got32 := append(a32, b32...)
 		for i := range want32 {
 			if got32[i] != want32[i] {
 				t.Fatalf("split %d: float32 dst[%d] = %v, want %v", split, i, got32[i], want32[i])
+			}
+		}
+	}
+	// Row ranges: filling [0,cut) and [cut,n) of one tile reproduces the
+	// whole-matrix scan, which is what lets a scan split the training rows
+	// into panels and across goroutines.
+	for cut := 0; cut <= nTrain; cut += 4 {
+		got := SqL2NormDotBatch(nil, trainFlat, nTrain, dim, norms, testFlat, nTest, 0, cut)
+		SqL2NormDotBatch(got, trainFlat, nTrain, dim, norms, testFlat, nTest, cut, nTrain)
+		got32 := SqL2NormDotBatch32(nil, trainFlat32, nTrain, dim, norms32, testFlat32, nTest, cut, nTrain)
+		SqL2NormDotBatch32(got32, trainFlat32, nTrain, dim, norms32, testFlat32, nTest, 0, cut)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("row cut %d: dst[%d] = %v, want %v", cut, i, got[i], want[i])
+			}
+			if got32[i] != want32[i] {
+				t.Fatalf("row cut %d: float32 dst[%d] = %v, want %v", cut, i, got32[i], want32[i])
 			}
 		}
 	}
@@ -88,11 +105,11 @@ func TestSqL2NormDotBatch32Tolerance(t *testing.T) {
 	trainFlat, _ := randomFlat(nTrain, dim, rng)
 	testFlat, _ := randomFlat(nTest, dim, rng)
 	norms := SqNorms(nil, trainFlat, nTrain, dim)
-	want := SqL2NormDotBatch(nil, trainFlat, nTrain, dim, norms, testFlat, nTest)
+	want := SqL2NormDotBatch(nil, trainFlat, nTrain, dim, norms, testFlat, nTest, 0, nTrain)
 	trainFlat32 := ToFloat32(nil, trainFlat)
 	testFlat32 := ToFloat32(nil, testFlat)
 	norms32 := SqNorms32(nil, trainFlat32, nTrain, dim)
-	got := SqL2NormDotBatch32(nil, trainFlat32, nTrain, dim, norms32, testFlat32, nTest)
+	got := SqL2NormDotBatch32(nil, trainFlat32, nTrain, dim, norms32, testFlat32, nTest, 0, nTrain)
 	for i := range want {
 		scale := want[i]
 		if scale < 1 {

@@ -9,6 +9,13 @@
 // amd64 with bit-identical portable fallbacks — see dot_kernels.go), and
 // the α-ordering argsort is an LSD radix sort on the distance bit patterns
 // (ArgsortDistInto) instead of a comparison sort.
+//
+// The batched scans take a training-row range [lo,hi) and write into the
+// full queries×N distance tile with row stride N, so a caller can split
+// the rows across goroutines and walk each range in cache-sized panels
+// (knn.Stream does both, and fills the square root and correctness flags
+// in the same panel pass). A distance depends only on its (row, query)
+// pair, so the split never changes a bit.
 package vec
 
 import (

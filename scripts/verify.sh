@@ -5,7 +5,9 @@
 # gate), race passes over the execution engine, the job manager, the
 # dataset registry, the cluster coordinator, the shared Valuer session and
 # the context-cancellation paths, a race pass over the distance/argsort
-# kernels and their callers (vec, knn, kheap), a GOAMD64=v3 cross-build
+# kernels and their callers (vec, knn, kheap; these and the engine's at
+# GOMAXPROCS 1, 2 and 4, so the parallel scan and reduction split even on
+# a 1-CPU host), a GOAMD64=v3 cross-build
 # of the assembly, fuzz smoke runs over the decode/storage/shard-codec
 # surfaces, a serving benchmark
 # of the upload-once/value-many registry path, a method-discovery
@@ -44,8 +46,11 @@ go build ./...
 # dispatch must not depend on GOAMD64).
 GOAMD64=v3 go build ./...
 go test ./...
-go test -race ./internal/vec ./internal/knn ./internal/kheap
-go test -race ./internal/core
+# -cpu 1,2,4: the scan and the reduction split across goroutines only when
+# more than one worker is allowed, so a 1-CPU host would otherwise never
+# race-check the split.
+go test -race -cpu 1,2,4 ./internal/vec ./internal/knn ./internal/kheap
+go test -race -cpu 1,2,4 ./internal/core
 go test -race ./internal/jobs
 go test -race ./internal/journal
 go test -race ./internal/registry

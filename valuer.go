@@ -26,7 +26,8 @@ func WithMetric(m Metric) Option { return func(c *config) { c.Metric = m } }
 // unweighted ones (Eqs. 5/25).
 func WithWeight(w WeightFunc) Option { return func(c *config) { c.Weight = w } }
 
-// WithWorkers bounds the engine worker pool (default: all cores).
+// WithWorkers bounds every goroutine of a valuation, distance scan
+// included (default: all cores).
 func WithWorkers(n int) Option { return func(c *config) { c.Workers = n } }
 
 // WithBatchSize bounds how many test points are in flight at once; peak
