@@ -185,6 +185,19 @@ func runBenchJSON(path string, maxN int) error {
 			Name: "distscan_stream", N: n, Dim: train.Dim(), NTest: benchNTest,
 			NsPerOp: streamNs, TotalNs: streamNs * reps * benchNTest,
 		})
+		// The ordering stage of exact valuation on its own: the full α
+		// argsort of one real distance row from that scan, on a warm
+		// DistSorter as each engine worker holds one.
+		var sorter vec.DistSorter
+		order := sorter.ArgsortInto(nil, tps[0].Dist)
+		start = time.Now()
+		for r := 0; r < reps; r++ {
+			order = sorter.ArgsortInto(order, tps[0].Dist)
+		}
+		orderNs := time.Since(start).Nanoseconds() / reps
+		rep.Results = append(rep.Results, benchRecord{
+			Name: "exact_order", N: n, Dim: train.Dim(), NsPerOp: orderNs, TotalNs: orderNs * reps,
+		})
 		q := test.X[0]
 		start = time.Now()
 		for r := 0; r < reps; r++ {

@@ -385,7 +385,7 @@ func writeClusterError(rw http.ResponseWriter, status int, msg string) {
 	writeClusterJSON(rw, status, wire.ErrorResponse{Error: msg})
 }
 
-// shardScratch owns the per-shard sort machinery: a radix argsort for full
+// shardScratch owns the per-shard sort machinery: a bucket argsort for full
 // orderings and a partial-selection heap for top-Limit prefixes, matching
 // the single-node engine's Scratch so shard rankings equal the
 // corresponding prefix of the unsharded α ordering.

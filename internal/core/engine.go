@@ -315,7 +315,7 @@ func (s *Scratch) Bools(n int) []bool {
 }
 
 // OrderOf returns tp's distance ordering using the scratch index buffer
-// and the worker-owned radix sorter (same ordering as tp.OrderInto, zero
+// and the worker-owned bucket sorter (same ordering as tp.OrderInto, zero
 // steady-state allocation).
 func (s *Scratch) OrderOf(tp *knn.TestPoint) []int {
 	s.order = s.sorter.ArgsortInto(s.order, tp.Dist)

@@ -8,7 +8,7 @@ import (
 // The storage benchmarks pin the flat row-major win: one query scanned
 // against N train rows held either as a contiguous row-major buffer or as a
 // slice of independently-allocated rows, plus the norm-precompute GEMV
-// kernel that the streaming engine uses and the radix argsort. Run with:
+// kernel that the streaming engine uses and the bucket argsort. Run with:
 //
 //	go test ./internal/vec -bench 'Scan|NormDot|Argsort' -benchmem
 var benchShapes = []struct {
@@ -105,9 +105,20 @@ func BenchmarkSqL2NormDotBatch32(b *testing.B) {
 	}
 }
 
-// BenchmarkArgsortDist measures the radix argsort against the generic
-// closure-key path on the same keys.
+// BenchmarkArgsortDist measures ArgsortDistInto, one full α ordering per
+// op: on uniform [0,20) keys at the benchShapes sizes, and at N=1e5 on
+// MNIST-like L2 distances (mixtureDist) — as drawn, and with one zero
+// distance (a test point duplicating a training row), which stretches the
+// key range over a thousand binades and crowds every real distance into a
+// few first-pass buckets.
 func BenchmarkArgsortDist(b *testing.B) {
+	run := func(b *testing.B, dist []float64) {
+		idx := make([]int, len(dist))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ArgsortDistInto(idx, dist)
+		}
+	}
 	for _, shape := range benchShapes {
 		b.Run(shape.name, func(b *testing.B) {
 			rng := rand.New(rand.NewPCG(3, 3))
@@ -115,11 +126,12 @@ func BenchmarkArgsortDist(b *testing.B) {
 			for i := range dist {
 				dist[i] = rng.Float64() * 20
 			}
-			idx := make([]int, shape.n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ArgsortDistInto(idx, dist)
-			}
+			run(b, dist)
 		})
 	}
+	mixture := mixtureDist(100000, 3)
+	b.Run("mixture_n100000", func(b *testing.B) { run(b, mixture) })
+	withZero := append([]float64(nil), mixture...)
+	withZero[len(withZero)/2] = 0
+	b.Run("mixture_zero_n100000", func(b *testing.B) { run(b, withZero) })
 }

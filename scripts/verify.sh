@@ -60,8 +60,9 @@ go test -run TestCancel -race ./...
 go test -run 'TestJob|TestStatz|TestDataset|TestValueByRef|TestValueRef|TestQueuedCancel|TestMethods|TestReplay' -race ./cmd/svserver
 go test -run 'TestEvaluate|TestParams|TestValuer' -race .
 
-# Fuzz smoke: ten seconds per decode/storage surface. New crashers land in
-# testdata/fuzz/ and fail the run.
+# Fuzz smoke: ten seconds per decode/storage surface, and for the α-ordering
+# argsort against a comparison sort. New crashers land in testdata/fuzz/
+# and fail the run.
 go test -run '^$' -fuzz FuzzFlatRoundTrip -fuzztime 10s ./internal/dataset
 go test -run '^$' -fuzz FuzzBinaryCodec -fuzztime 10s ./internal/dataset
 go test -run '^$' -fuzz FuzzDecodeValueRequest -fuzztime 10s ./cmd/svserver
@@ -71,6 +72,7 @@ go test -run '^$' -fuzz FuzzShardRequestJSON -fuzztime 10s ./internal/cluster
 go test -run '^$' -fuzz FuzzJournalDecode -fuzztime 10s ./internal/journal
 go test -run '^$' -fuzz FuzzReadIndex -fuzztime 10s ./internal/kdtree
 go test -run '^$' -fuzz FuzzReadIndex -fuzztime 10s ./internal/lsh
+go test -run '^$' -fuzz FuzzArgsortDist -fuzztime 10s ./internal/vec
 
 # Serving smoke: the upload-once/value-many comparison through the real
 # HTTP handlers (inline re-ships and re-fingerprints the payload each call;
